@@ -124,19 +124,21 @@ def test_plan_cache_hit_rate_is_one_after_warmup_across_request_stream():
     """~100% plan-cache hit rate across a longer request stream."""
     clear_compilation_cache()
     graph = default_serving_graph()
-    from repro.serving import ServingEngine
+    from repro.serving import Router
 
-    engine = ServingEngine(
-        "hgt", graph, in_dim=DIM, out_dim=DIM, options=SERVING_OPTIONS,
-        fanouts=(6,), max_batch_size=8,
+    router = Router()
+    endpoint = router.register(
+        "hgt", "hgt", graph, in_dim=DIM, out_dim=DIM, options=SERVING_OPTIONS,
+        fanouts=(6,), max_batch_size=8, block_cache_size=0,
     )
     stats = global_compilation_cache().stats
     misses_after_compile = stats.misses
 
     stream = request_stream(graph, num_requests=40, seeds_per_request=3, seed=5)
-    report = engine.serve(stream)
+    router.serve([("hgt", seeds) for seeds in stream])
+    report = endpoint.report()
     assert report["plan_replay_rate"] == 1.0
-    assert engine.plan_recompiles == 0
+    assert endpoint.plan_recompiles == 0
     assert stats.misses == misses_after_compile, "serving caused compilation-cache misses"
     print()
     print(format_table([report], title="HGT serving stream — plan replays only"))

@@ -1,9 +1,9 @@
 """Serving study: micro-batched throughput vs batch-size-1 on one stream.
 
-The platform-characterisation companion of the serving engine: it replays an
-identical request stream through two engines — one forced to batch size 1
-(per-request sample + bind + execute, the naive deployment) and one
-micro-batching up to ``max_batch_size`` — and reports throughput, latency
+The platform-characterisation companion of the serving router: it replays an
+identical request stream through two one-endpoint routers — one forced to
+batch size 1 (per-request sample + bind + execute, the naive deployment) and
+one micro-batching up to ``max_batch_size`` — and reports throughput, latency
 percentiles, batch occupancy, plan-replay rate, and arena-pool reuse side by
 side.  ``benchmarks/test_serving.py`` gates on the speedup; CI publishes the
 table in the job summary (``python -m repro.evaluation.serving_study
@@ -20,7 +20,7 @@ import numpy as np
 from repro.frontend.config import CompilerOptions
 from repro.graph.generators import random_features, random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
-from repro.serving.engine import ServingEngine
+from repro.serving.router import Router
 from repro.evaluation.reporting import format_markdown_table
 
 
@@ -64,21 +64,24 @@ def serving_study(
 ) -> Dict[str, object]:
     """Run the batched-vs-unbatched comparison on one request stream.
 
-    Both engines share the model, options (inference, compact
+    Both endpoints share the model, options (inference, compact
     materialization — so blocks exercise the compaction machinery), feature
-    store, fanout, and stream; only the batching policy differs.
+    store, fanout, and stream; only the batching policy differs.  The block
+    cache is off, so every batch draws a fresh sample.
 
     Returns ``{"rows": [...], "speedup": float, ...}`` where each row is one
-    engine's :meth:`~repro.serving.engine.ServingEngine.report` plus a
-    ``mode`` column.
+    endpoint's :meth:`~repro.serving.endpoint.Endpoint.report` plus a
+    ``mode`` column and the router budget's ``live_arenas``.
     """
     graph = graph if graph is not None else default_serving_graph()
     options = CompilerOptions(emit_backward=False, compact_materialization=True)
     features = random_features(graph, in_dim, seed=seed)
     stream = request_stream(graph, num_requests, seeds_per_request, seed=seed)
 
-    def build_engine(batch_size: int) -> ServingEngine:
-        return ServingEngine(
+    def build_router(batch_size: int) -> Router:
+        router = Router()
+        router.register(
+            model,
             model,
             graph,
             in_dim=in_dim,
@@ -87,25 +90,33 @@ def serving_study(
             features=features,
             fanouts=(fanout,),
             max_batch_size=batch_size,
+            block_cache_size=0,
             sampler_seed=seed,
             seed=seed,
         )
+        return router
 
-    single = build_engine(1)
-    batched = build_engine(max_batch_size)
-    # Warm both paths once (plan compile happened at engine construction; one
-    # throwaway batch warms the arena pool and any lazy numpy dispatch), then
-    # reset telemetry so the reported numbers cover only the measured stream.
-    single.query(stream[0])
-    batched.query(stream[0])
+    def serve(router: Router, mode: str) -> Dict[str, object]:
+        router.serve([(model, seeds) for seeds in stream])
+        report = router.endpoint(model).report()
+        del report["endpoint"], report["priority"]
+        report["live_arenas"] = router.budget.live_arenas
+        report["mode"] = mode
+        return report
+
+    single = build_router(1)
+    batched = build_router(max_batch_size)
+    # Warm both paths once (plan compile happened at registration; one
+    # throwaway batch warms the arena budget and any lazy numpy dispatch),
+    # then reset telemetry so the reported numbers cover only the measured
+    # stream.
+    single.query(model, stream[0])
+    batched.query(model, stream[0])
     single.reset_stats()
     batched.reset_stats()
 
-    single_report = single.serve(stream)
-    batched_report = batched.serve(stream)
-
-    single_report["mode"] = "batch-1"
-    batched_report["mode"] = f"micro-batch({max_batch_size})"
+    single_report = serve(single, "batch-1")
+    batched_report = serve(batched, f"micro-batch({max_batch_size})")
     speedup = (
         batched_report["throughput_rps"] / single_report["throughput_rps"]
         if single_report["throughput_rps"]
@@ -120,7 +131,9 @@ def serving_study(
             {column: batched_report.get(column) for column in columns},
         ],
         "speedup": round(speedup, 2),
-        "zero_recompiles": single.plan_recompiles == 0 and batched.plan_recompiles == 0,
+        "zero_recompiles": all(
+            router.endpoint(model).plan_recompiles == 0 for router in (single, batched)
+        ),
         "num_requests": num_requests,
         "seeds_per_request": seeds_per_request,
     }

@@ -28,7 +28,8 @@ sized sampled minibatch blocks of one graph replay one plan with zero
 recompiles.  Size-dependent runtime state (arena slabs) is handled one layer
 down, where :func:`repro.runtime.planner.dim_bucket` buckets runtime
 dimensions into power-of-two classes and the
-:class:`~repro.runtime.planner.ArenaPool` shares one pooled arena per bucket.
+:class:`~repro.runtime.planner.SharedArenaBudget` shares one pooled arena per
+bucket.
 """
 
 from __future__ import annotations

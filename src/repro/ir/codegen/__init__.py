@@ -27,23 +27,16 @@ Backends are selected through the registry in
 
 Generated sources persist across processes through the on-disk artifact
 cache (:mod:`repro.ir.codegen.artifact_cache`, ``$REPRO_CODEGEN_CACHE``).
-
-``generate_python_module`` and ``generate_cuda_source`` remain importable as
-deprecated aliases of the registry path.
 """
 
-from repro.ir.codegen.python_backend import (
-    GeneratedModule,
-    build_python_module,
-    generate_python_module,
-)
+from repro.ir.codegen.python_backend import GeneratedModule, build_python_module
 from repro.ir.codegen.artifact_cache import (
     artifact_cache_stats,
     artifact_key_for,
     default_artifact_cache,
 )
 from repro.ir.codegen.codegen_backend import build_codegen_module
-from repro.ir.codegen.cuda_backend import build_cuda_source, generate_cuda_source
+from repro.ir.codegen.cuda_backend import build_cuda_source
 from repro.ir.codegen.host import generate_host_source
 from repro.ir.codegen.mixed_backend import MixedGeneratedModule, build_mixed_module
 from repro.ir.codegen.registry import (
@@ -69,9 +62,7 @@ __all__ = [
     "build_mixed_module",
     "build_python_module",
     "default_artifact_cache",
-    "generate_cuda_source",
     "generate_host_source",
-    "generate_python_module",
     "get_backend",
     "register_backend",
 ]

@@ -136,23 +136,6 @@ def build_python_module(plan: KernelPlan) -> GeneratedModule:
     )
 
 
-def generate_python_module(plan: KernelPlan) -> GeneratedModule:
-    """Deprecated alias of :func:`build_python_module`.
-
-    Kept so direct imports continue to work; new code should go through the
-    backend registry: ``get_backend("python-interp").generate(plan)``.
-    """
-    import warnings
-
-    warnings.warn(
-        "generate_python_module is deprecated; use "
-        "repro.ir.codegen.get_backend('python-interp').generate(plan) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_python_module(plan)
-
-
 class _PythonKernelGenerator:
     """Emits one Python function per kernel instance."""
 

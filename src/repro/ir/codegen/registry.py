@@ -1,8 +1,6 @@
 """Backend registry: pluggable code-generation targets for kernel plans.
 
-Execution used to be hardwired — ``frontend/compiler.py`` imported
-``generate_python_module`` and ``generate_cuda_source`` directly.  The
-registry decouples plan lowering from artifact generation behind a small
+The registry decouples plan lowering from artifact generation behind a small
 protocol, in the style of gt4py's ``BaseBackend`` + ``register`` pattern:
 
 * :class:`Backend` — ``name``, ``generate(plan, options) -> module``, and the

@@ -30,7 +30,7 @@ from repro.ir.inter_op.space import Space, ValueInfo
 from repro.ir.intra_op.plan import KernelPlan
 from repro.runtime.binding import GraphBinding
 from repro.runtime.context import GraphContext
-from repro.runtime.planner import ArenaPool, MemoryPlanner
+from repro.runtime.planner import MemoryPlanner, SharedArenaBudget, TenantArenaSource
 from repro.tensor import init as tensor_init
 from repro.tensor.nn import Parameter
 
@@ -46,9 +46,10 @@ class CompiledRGNNModule:
         seed: RNG seed for parameter initialisation.
         schema: explicit :class:`~repro.graph.schema.GraphSchema` to
             specialise for; required when ``graph`` is ``None``.
-        arena_pool: explicit :class:`~repro.runtime.planner.ArenaPool`;
-            defaults to a module-private pool (modules sharing a cached plan
-            must not share buffers).
+
+    ``arena_pool`` is the module's private pool: the one tenant of a
+    :class:`~repro.runtime.planner.SharedArenaBudget` capped at four arenas
+    (modules sharing a cached plan must not share buffers).
     """
 
     def __init__(
@@ -59,7 +60,6 @@ class CompiledRGNNModule:
         seed: int = 0,
         *,
         schema: Optional[GraphSchema] = None,
-        arena_pool: Optional[ArenaPool] = None,
     ):
         if schema is None:
             if graph is None:
@@ -69,10 +69,10 @@ class CompiledRGNNModule:
         self.generated = generated
         self.schema = schema
         self.memory_planner: Optional[MemoryPlanner] = None
-        self.arena_pool: Optional[ArenaPool] = None
+        self.arena_pool: Optional[TenantArenaSource] = None
         if plan.metadata.get("memory_planning_enabled"):
             self.memory_planner = MemoryPlanner(plan)
-            self.arena_pool = arena_pool or ArenaPool()
+            self.arena_pool = SharedArenaBudget(max_arenas=4).tenant("module")
         self.parameters_by_name: Dict[str, Parameter] = {}
         self._init_parameters(seed)
         self._default_binding: Optional[GraphBinding] = None
@@ -106,8 +106,7 @@ class CompiledRGNNModule:
         """Attach the module to a concrete graph (full graph or sampled block).
 
         Validates the graph against the module's schema, reuses the memoised
-        graph context, and leases an arena.  ``arena_source`` (anything with
-        an ``ArenaPool``-shaped ``lease(planner, ctx)`` — in practice a
+        graph context, and leases an arena.  ``arena_source`` (a
         :class:`~repro.runtime.planner.TenantArenaSource` view of a serving
         router's :class:`~repro.runtime.planner.SharedArenaBudget`) overrides
         where the arena comes from; otherwise ``pooled=True`` (the default
@@ -125,7 +124,7 @@ class CompiledRGNNModule:
         if self.memory_planner is not None:
             if arena_source is not None:
                 lease = arena_source.lease(self.memory_planner, ctx)
-            elif pooled and self.arena_pool is not None:
+            elif pooled:
                 lease = self.arena_pool.lease(self.memory_planner, ctx)
             else:
                 lease = self.memory_planner.build_arena(ctx).lease()

@@ -21,23 +21,21 @@ that gap in two steps:
    into memory that persists across invocations instead of triggering fresh
    allocations every call.
 
-3. :class:`ArenaPool` extends the reuse across *graph bindings*: serving
-   workloads execute one compiled plan against many sampled minibatch blocks
-   whose node/edge counts differ per request.  Instead of allocating a fresh
-   arena per block, the pool buckets the runtime dimensions into power-of-two
-   size classes (:func:`dim_bucket`) and hands every binding in a bucket the
-   same slab-backed arena, re-viewed (:meth:`BufferArena.ensure_shapes`) to
-   the binding's concrete shapes.  Live arenas are LRU-bounded so a long tail
-   of rare block sizes cannot accumulate slabs without bound.
-
-4. :class:`SharedArenaBudget` multiplexes arenas across *tenants* (serving
-   endpoints hosting different compiled modules and parent graphs) under one
-   global byte cap.  Arenas are keyed per (tenant, bucket) — two tenants never
-   share slabs, their plans differ — but they all draw from one budget:
-   exceeding the cap evicts the least-recently-*used* arena across all
-   tenants, with per-tenant hit/miss/eviction counters and high-water byte
-   stats so a noisy neighbour is visible in telemetry.  This is the memory
-   backbone of the multi-tenant serving router (:mod:`repro.serving.router`).
+3. :class:`SharedArenaBudget` extends the reuse across *graph bindings*:
+   training and serving execute one compiled plan against many sampled
+   minibatch blocks whose node/edge counts differ per step or request.
+   Instead of allocating a fresh arena per block, the budget buckets the
+   runtime dimensions into power-of-two size classes (:func:`dim_bucket`) and
+   hands every binding in a bucket the same slab-backed arena, re-viewed
+   (:meth:`BufferArena.ensure_shapes`) to the binding's concrete shapes.
+   Arenas are keyed per (tenant, bucket) — two tenants never share slabs,
+   their plans differ — but all count against one byte cap and an optional
+   arena-count cap: exceeding either evicts the least-recently-*used* arena
+   across all tenants, with per-tenant hit/miss/eviction counters and
+   high-water byte stats so a noisy neighbour is visible in telemetry.  A
+   compiled module's private pool is a one-tenant budget capped at four
+   arenas; the multi-tenant serving router (:mod:`repro.serving.router`)
+   owns one budget shared by every endpoint.
 
 The planner also runs in a purely analytic mode against a
 :class:`~repro.evaluation.workload.WorkloadSpec` (no arrays allocated), which
@@ -340,7 +338,7 @@ class MemoryPlanner:
             dtype: element dtype of the slabs.
             training: see :meth:`lifetimes`.
             capacity_sizes: optional sizes object the slot *capacities* are
-                computed from (the :class:`ArenaPool` passes the power-of-two
+                computed from (the :class:`SharedArenaBudget` passes the power-of-two
                 bucket of ``ctx``); defaults to ``ctx``'s exact sizes.  Must
                 dominate the concrete sizes dimension for dimension.
         """
@@ -497,7 +495,7 @@ class ArenaLease:
     forward between one binding's forward and backward on a shared arena
     would corrupt the forward intermediates backward re-reads;
     ``GraphBinding.backward`` detects this via the arena's bind generation
-    and raises.  The serving engine executes batches to completion, so this
+    and raises.  The serving router executes batches to completion, so this
     never arises there.)
 
     Leases handed out by a :class:`SharedArenaBudget` carry an ``on_bind``
@@ -520,87 +518,6 @@ class ArenaLease:
         self.touch()
         self.arena.ensure_shapes(self.shapes)
         return self.arena.bind(env)
-
-
-@dataclass
-class ArenaPoolStats:
-    """Reuse counters of one :class:`ArenaPool`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class ArenaPool:
-    """Bucketed, LRU-bounded arenas shared across a module's graph bindings.
-
-    Bindings whose runtime dimensions fall in the same power-of-two bucket
-    (:func:`dim_bucket` over nodes / edges / unique pairs) lease one pooled
-    arena instead of allocating a fresh one, which is the allocation analogue
-    of the compilation cache: a stream of differently-sized sampled blocks
-    settles onto a handful of arenas after warmup.  At most ``max_arenas``
-    stay live; the least-recently-used bucket is dropped beyond that.
-
-    Pools are per-module (created in ``CompiledRGNNModule``), never shared
-    between modules — two modules sharing a cached plan must not share
-    buffers.
-    """
-
-    def __init__(self, max_arenas: int = 4):
-        if max_arenas < 1:
-            raise ValueError("an arena pool needs room for at least one arena")
-        self.max_arenas = max_arenas
-        self._arenas: "OrderedDict[tuple, BufferArena]" = OrderedDict()
-        self.stats = ArenaPoolStats()
-
-    def lease(
-        self,
-        planner: MemoryPlanner,
-        ctx,
-        dtype=np.float64,
-        training: Optional[bool] = None,
-    ) -> ArenaLease:
-        """Lease the pooled arena of ``ctx``'s size bucket, building it on a miss."""
-        sizes = _ContextSizes.from_context(ctx)
-        key = (sizes.bucket_key(), np.dtype(dtype).str, bool(
-            training if training is not None else planner.plan.backward_kernels
-        ))
-        arena = self._arenas.get(key)
-        if arena is not None:
-            self.stats.hits += 1
-            self._arenas.move_to_end(key)
-        else:
-            self.stats.misses += 1
-            arena = planner.build_arena(
-                ctx, dtype=dtype, training=training, capacity_sizes=sizes.bucketed()
-            )
-            self._arenas[key] = arena
-            while len(self._arenas) > self.max_arenas:
-                self._arenas.popitem(last=False)
-                self.stats.evictions += 1
-        shapes = planner.shapes_for(sizes, arena.memory_plan.slot_of)
-        return ArenaLease(arena, shapes)
-
-    # ------------------------------------------------------------------
-    @property
-    def live_arenas(self) -> int:
-        return len(self._arenas)
-
-    def pooled_bytes(self) -> int:
-        """Bytes held by every live arena's slabs."""
-        return int(sum(arena.arena_bytes() for arena in self._arenas.values()))
-
-    def clear(self) -> None:
-        self._arenas.clear()
-        self.stats = ArenaPoolStats()
 
 
 @dataclass
@@ -630,9 +547,10 @@ class TenantArenaStats:
 class TenantArenaSource:
     """One tenant's view of a :class:`SharedArenaBudget`.
 
-    Exposes the same ``lease(planner, ctx, ...)`` surface as
-    :class:`ArenaPool`, so ``CompiledRGNNModule.bind(graph, arena_source=...)``
-    can draw from a shared budget instead of the module's private pool.
+    The arena source every pooled binding leases from: a module's private
+    pool (``CompiledRGNNModule.arena_pool``) is one of these over a
+    one-tenant budget, and ``CompiledRGNNModule.bind(graph, arena_source=...)``
+    takes one over a shared budget instead.  Telemetry reads ``stats``.
     """
 
     def __init__(self, budget: "SharedArenaBudget", tenant: str):
@@ -643,23 +561,9 @@ class TenantArenaSource:
     def stats(self) -> TenantArenaStats:
         return self.budget.tenant_stats(self.tenant)
 
-    # Counter proxies, so a source quacks like ``ArenaPoolStats`` for
-    # telemetry consumers (``EngineStats.report`` accepts either).
-    @property
-    def hits(self) -> int:
-        return self.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self.stats.misses
-
-    @property
-    def evictions(self) -> int:
-        return self.stats.evictions
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats.hit_rate
+    def pooled_bytes(self) -> int:
+        """Bytes held by this tenant's live arenas' slabs."""
+        return self.stats.live_bytes
 
     def lease(
         self,
@@ -675,7 +579,8 @@ class SharedArenaBudget:
     """Cross-tenant arena pool under one global (and optional per-tenant) byte cap.
 
     The multi-tenant serving router owns one budget; every endpoint leases its
-    arenas through a :class:`TenantArenaSource` view.  Keys include the tenant
+    arenas through a :class:`TenantArenaSource` view.  Each compiled module
+    owns a one-tenant budget as its private pool.  Keys include the tenant
     name — tenants never share slabs (their kernel plans differ, and sharing
     would let one tenant read another's intermediates) — but all arenas count
     against ``capacity_bytes``.  When an insert pushes the total over the cap,
@@ -691,10 +596,10 @@ class SharedArenaBudget:
 
     Args:
         capacity_bytes: global cap on pool-held slab bytes; ``None`` = unbounded.
-        max_arenas: global cap on the *number* of live arenas (the analogue of
-            :class:`ArenaPool`'s LRU bound, so a long tail of rare block-size
-            buckets cannot accumulate slabs even under a generous byte cap);
-            ``None`` = unbounded.
+        max_arenas: global cap on the *number* of live arenas, so a long tail
+            of rare block-size buckets cannot accumulate slabs even under a
+            generous byte cap (a module's private pool uses 4); ``None`` =
+            unbounded.
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None, max_arenas: Optional[int] = None):
@@ -776,8 +681,8 @@ class SharedArenaBudget:
     ) -> ArenaLease:
         """Lease the tenant's pooled arena for ``ctx``'s size bucket.
 
-        A miss builds the arena (sized for the bucket ceiling, exactly like
-        :class:`ArenaPool`) and then enforces the per-tenant and global caps.
+        A miss builds the arena (sized for the bucket ceiling) and then
+        enforces the per-tenant and global caps.
         """
         sizes = _ContextSizes.from_context(ctx)
         if training is None:
@@ -846,31 +751,40 @@ class SharedArenaBudget:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
+    # Every read takes the lock: router workers insert, evict and reorder
+    # ``_arenas`` / ``_tenants`` concurrently, and iterating either while it
+    # changes raises.
     @property
     def live_arenas(self) -> int:
-        return len(self._arenas)
+        with self._lock:
+            return len(self._arenas)
 
     @property
     def live_bytes(self) -> int:
         """Bytes held by every pool-held arena's slabs."""
-        return int(sum(arena.arena_bytes() for arena in self._arenas.values()))
+        with self._lock:
+            return int(sum(arena.arena_bytes() for arena in self._arenas.values()))
 
     @property
     def hits(self) -> int:
-        return sum(stats.hits for stats in self._tenants.values())
+        with self._lock:
+            return sum(stats.hits for stats in self._tenants.values())
 
     @property
     def misses(self) -> int:
-        return sum(stats.misses for stats in self._tenants.values())
+        with self._lock:
+            return sum(stats.misses for stats in self._tenants.values())
 
     @property
     def evictions(self) -> int:
-        return sum(stats.evictions for stats in self._tenants.values())
+        with self._lock:
+            return sum(stats.evictions for stats in self._tenants.values())
 
     @property
     def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
+        with self._lock:
+            lookups = self.hits + self.misses
+            return self.hits / lookups if lookups else 0.0
 
     def report(self) -> Dict[str, object]:
         """Budget-wide and per-tenant footprint/reuse summary."""

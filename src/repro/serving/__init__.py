@@ -21,15 +21,10 @@ Quickstart::
     router.register("rgat-main", "rgat", graph, in_dim=64, out_dim=64)
     outputs = router.query("rgat-main", [3, 17, 42])  # (3, 64) rows
     print(router.report()["aggregate"])
-
-The single-tenant :class:`ServingEngine` remains as a thin shim over a
-one-endpoint router (see :mod:`repro.serving.engine` for the deprecation
-note and migration pointers).
 """
 
 from repro.serving.admission import AdmissionController, AdmissionPolicy, TokenBucket
 from repro.serving.endpoint import Endpoint, ServingRequest
-from repro.serving.engine import ServingEngine
 from repro.serving.router import Router
 from repro.serving.scheduler import (
     EventLoopResult,
@@ -48,7 +43,6 @@ from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, per
 __all__ = [
     "Router",
     "Endpoint",
-    "ServingEngine",
     "ServingRequest",
     "AdmissionPolicy",
     "AdmissionController",

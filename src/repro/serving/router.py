@@ -74,9 +74,6 @@ class Router:
     Args:
         arena_capacity_bytes: global byte cap of the shared arena budget
             every endpoint leases from (``None`` = unbounded).
-        max_arenas: global cap on live arenas across all endpoints (``None``
-            = unbounded; the legacy engine shim passes 4, the old per-module
-            pool bound).
         num_workers: executor workers for :meth:`serve` (≥ 1).  Workers run
             batches from *different* endpoints concurrently; per-endpoint
             execution stays serialised, so results are bit-identical to
@@ -87,15 +84,12 @@ class Router:
         self,
         *,
         arena_capacity_bytes: Optional[int] = None,
-        max_arenas: Optional[int] = None,
         num_workers: int = 1,
     ):
         if num_workers < 1:
             raise ValueError("Router needs num_workers >= 1")
         self.num_workers = int(num_workers)
-        self.budget = SharedArenaBudget(
-            capacity_bytes=arena_capacity_bytes, max_arenas=max_arenas
-        )
+        self.budget = SharedArenaBudget(capacity_bytes=arena_capacity_bytes)
         self._endpoints: Dict[str, Endpoint] = {}
         self._wrr = WeightedRoundRobin()
         #: Endpoint name per executed batch, in execution order — the
@@ -154,7 +148,9 @@ class Router:
                 disables).
             admission: optional rate/queue/deadline limits enforced on this
                 endpoint's stream (see :class:`AdmissionPolicy`).
-            Remaining arguments mirror the legacy ``ServingEngine``.
+            in_dim / out_dim / options / seed: compile a named model (see
+                :func:`~repro.serving.endpoint.resolve_module`).
+            Remaining arguments configure the :class:`Endpoint`.
         """
         if name in self._endpoints:
             raise ValueError(f"endpoint {name!r} is already registered")
@@ -290,7 +286,7 @@ class Router:
         Each endpoint's pending requests are chunked into batches of at most
         its ``max_batch_size`` in submission order (no timeout logic — they
         are all already here), and the batch queues drain through weighted
-        round-robin.  As on the legacy flush path, request latency is the
+        round-robin.  On this path request latency is the
         batch's service time — queueing delay is a :meth:`serve` concept.
         """
         queues: Dict[str, Deque[ScheduledBatch]] = {}
@@ -361,7 +357,7 @@ class Router:
         :attr:`last_served`, stream order.
         """
         # Requests admitted before this call complete first, so none are
-        # left behind (same contract as the legacy engine).
+        # left behind.
         self.flush()
         self.last_served = []
         arrivals: List[Tuple[str, ServingRequest]] = []

@@ -1,6 +1,6 @@
 """The serving event loop: clocks, fairness, and cross-endpoint scheduling.
 
-The router separates three concerns the legacy engine fused into one method:
+The router separates three concerns of serving a request stream:
 
 * **Clocks** — :class:`VirtualClock` replays a timestamped request stream in
   virtual time (arrivals are simulated offsets; service time is still the
@@ -14,8 +14,7 @@ The router separates three concerns the legacy engine fused into one method:
   policy of *one* endpoint to its (arrival-sorted) stream: a batch closes
   when it reaches ``max_batch_size`` (ready at its last member's arrival) or
   when admitting the next request would make the batch's oldest member wait
-  longer than ``batch_timeout_s`` (ready when that window expires).  This is
-  exactly the legacy ``ServingEngine.serve`` rule, factored out so every
+  longer than ``batch_timeout_s`` (ready when that window expires).  Every
   endpoint batches independently of its neighbours.
 
 * **Fairness** — :class:`WeightedRoundRobin` implements smooth WRR (the
@@ -137,8 +136,7 @@ def partition_into_batches(
     """Split one endpoint's request stream into timed micro-batches.
 
     ``requests`` must belong to one endpoint; they are sorted by arrival
-    here.  The rule matches the legacy engine exactly (see module docstring),
-    so a one-endpoint router reproduces the seed batching bit for bit.
+    here.  See the module docstring for the rule.
     """
     ordered = sorted(requests, key=lambda request: request.arrival_s)
     batches: List[ScheduledBatch] = []

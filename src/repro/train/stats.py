@@ -75,10 +75,9 @@ class TrainStats:
         Args:
             sampler: optional :class:`~repro.graph.sampler.NeighborSampler`
                 whose draw-memo hit rate should be included.
-            arena_pools: optional iterable of arena lease sources (anything
-                with ``hits`` / ``misses`` counters — an
-                :class:`~repro.runtime.planner.ArenaPool` ``.stats`` or a
-                :class:`~repro.runtime.planner.TenantArenaSource`).
+            arena_pools: optional iterable of the
+                :class:`~repro.runtime.planner.TenantArenaSource` objects the
+                run's bindings leased from; their ``stats`` are summed.
         """
         seconds = sum(epoch.seconds for epoch in self.epochs)
         seeds = sum(epoch.num_seeds for epoch in self.epochs)
@@ -94,10 +93,10 @@ class TrainStats:
             out["sampler_hit_rate"] = round(sampler.draw_hit_rate, 3)
         # Materialise before counting: a generator of pools would be consumed
         # by the hits sum and silently report zero misses (hit rate 1.0).
-        arena_pools = list(arena_pools) if arena_pools is not None else []
-        if arena_pools:
-            hits = sum(int(pool.hits) for pool in arena_pools)
-            misses = sum(int(pool.misses) for pool in arena_pools)
+        arena_stats = [pool.stats for pool in arena_pools] if arena_pools is not None else []
+        if arena_stats:
+            hits = sum(stats.hits for stats in arena_stats)
+            misses = sum(stats.misses for stats in arena_stats)
             lookups = hits + misses
             out["arena_hit_rate"] = round(hits / lookups, 3) if lookups else 0.0
         return out

@@ -42,6 +42,7 @@ from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.sampler import Fanout, NeighborSampler
 from repro.runtime.module import CompiledRGNNModule
 from repro.runtime.multilayer import MultiLayerModule
+from repro.runtime.planner import TenantArenaSource
 from repro.tensor import optim
 from repro.train.collective import tree_reduce
 from repro.train.objectives import resolve_objective
@@ -360,18 +361,14 @@ class MinibatchTrainer:
         return self.stats
 
     # ------------------------------------------------------------------
-    def _arena_pools(self) -> List[object]:
-        """The arena lease sources backing the trainer's bindings."""
-        modules = self.model.modules if self._is_stack else [self.model]
-        pools: List[object] = []
+    def _arena_pools(self) -> List[TenantArenaSource]:
+        """The arena lease sources backing the trainer's bindings, per layer."""
         if self._is_stack:
-            pools.extend(source for source in self.model.arena_sources if source is not None)
-        covered = len(pools) == len(modules)
-        if not covered:
-            pools.extend(
-                module.arena_pool.stats for module in modules if module.arena_pool is not None
-            )
-        return pools
+            layers = zip(self.model.arena_sources, self.model.modules)
+        else:
+            layers = [(None, self.model)]
+        pools = [source if source is not None else module.arena_pool for source, module in layers]
+        return [pool for pool in pools if pool is not None]
 
     def summary(self) -> dict:
         """Run-level report: loss, throughput, sampler and arena hit rates."""

@@ -8,7 +8,13 @@ import pytest
 from repro.frontend import CompilerOptions, compile_model
 from repro.graph import GraphSchema, random_hetero_graph, sample_block
 from repro.models import REFERENCE_CLASSES
-from repro.runtime import ArenaPool, CompiledRGNNModule, MemoryPlanner, dim_bucket
+from repro.runtime import (
+    CompiledRGNNModule,
+    MemoryPlanner,
+    SharedArenaBudget,
+    TenantArenaSource,
+    dim_bucket,
+)
 from repro.runtime.context import GraphContext
 
 DIM = 8
@@ -139,7 +145,9 @@ class TestInputValidation:
         assert next(iter(out.values())).dtype == np.float64
 
 
-class TestArenaPool:
+class TestModulePrivatePool:
+    """A module's private pool: the one tenant of a four-arena budget."""
+
     def test_dim_bucket_is_power_of_two_ceiling(self):
         assert dim_bucket(0) == 0
         assert dim_bucket(1) == 1
@@ -152,7 +160,7 @@ class TestArenaPool:
         module = compile_model("rgat", parent_graph, in_dim=DIM, out_dim=DIM,
                                options=CompilerOptions(emit_backward=False))
         pool = module.arena_pool
-        assert pool is not None
+        assert isinstance(pool, TenantArenaSource)
         # Find two differently-sized blocks that land in one size bucket.
         rng = np.random.default_rng(3)
         by_bucket = {}
@@ -187,18 +195,27 @@ class TestArenaPool:
         plan_module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
                                     options=CompilerOptions(emit_backward=False))
         planner = MemoryPlanner(plan_module.plan)
-        pool = ArenaPool(max_arenas=2)
+        pool = SharedArenaBudget(max_arenas=2).tenant("module")
         fractions = [0.12, 0.3, 0.6, 1.0]
         for fraction in fractions:
             sub = parent_graph.subgraph_by_edge_fraction(fraction, seed=1)
             pool.lease(planner, GraphContext.cached(sub))
-        assert pool.live_arenas <= 2
+        assert pool.budget.live_arenas <= 2
         assert pool.stats.evictions >= 1
-        assert pool.pooled_bytes() > 0
+        assert pool.pooled_bytes() == pool.budget.live_bytes > 0
 
     def test_pool_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            ArenaPool(max_arenas=0)
+            SharedArenaBudget(max_arenas=0)
+
+    def test_modules_sharing_a_plan_keep_private_pools(self, parent_graph):
+        options = CompilerOptions(emit_backward=False)
+        first = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM, options=options)
+        second = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM, options=options)
+        assert first.plan is second.plan
+        assert first.arena_pool.budget is not second.arena_pool.budget
+        assert first.arena_pool.budget.max_arenas == 4
+        assert first.bind(parent_graph).arena is not second.bind(parent_graph).arena
 
     def test_default_binding_keeps_exact_private_arena(self, parent_graph):
         """The classic one-graph path must not pay bucket-rounded slabs."""
@@ -253,4 +270,4 @@ class TestArenaPool:
         pool = module.arena_pool
         # After warmup the block-size buckets repeat: the pool must be hitting.
         assert pool.stats.hits >= 3
-        assert pool.live_arenas <= pool.max_arenas
+        assert pool.budget.live_arenas <= pool.budget.max_arenas

@@ -14,7 +14,6 @@ from repro.runtime import GraphContext, SharedArenaBudget
 from repro.serving import (
     Router,
     ScheduledBatch,
-    ServingEngine,
     VirtualClock,
     WeightedRoundRobin,
     partition_into_batches,
@@ -415,30 +414,3 @@ class TestMultiTenantIsolation:
         assert endpoint.block_cache_len == cached  # warm cache survives
         assert router.execution_log == []
 
-
-class TestEngineShim:
-    def test_engine_is_a_one_endpoint_router(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM,
-                               max_batch_size=4, seed=3, sampler_seed=1)
-        assert engine.router.endpoint_names == ["default"]
-        # The shim disables the block cache: legacy engines resample every
-        # batch, and the shim's contract is bit-identical behaviour.
-        assert engine.router.endpoint("default").block_cache_size == 0
-
-    def test_engine_results_match_router_endpoint(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM,
-                               max_batch_size=4, seed=3, sampler_seed=1)
-        router = _router()
-        _register(router, "same", graph_a, seed=3, block_cache_size=0)
-        np.testing.assert_array_equal(
-            engine.query([2, 9, 40]), router.query("same", [2, 9, 40])
-        )
-
-    def test_engine_report_exposes_budget_counters(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM)
-        engine.query([0, 1])
-        report = engine.report()
-        for key in ("arena_hits", "arena_misses", "arena_evictions",
-                    "arena_pool_hit_rate", "live_arenas"):
-            assert key in report, key
-        assert report["arena_misses"] >= 1

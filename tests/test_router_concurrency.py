@@ -9,7 +9,8 @@ Locks down the three hazards the executor-pool redesign introduced:
 * **Arena-budget races** — concurrent lease/build/evict traffic from many
   tenants against one :class:`SharedArenaBudget` must keep the byte and
   arena accounting exactly consistent (inserts − evictions = live, tracked
-  bytes = recomputed bytes).
+  bytes = recomputed bytes), and telemetry reads must wait for the budget
+  lock instead of iterating its maps mid-update.
 * **Fault isolation** — a request whose seeds make the model raise must fail
   *alone*: batch-mates complete, other endpoints are untouched, and the
   router keeps serving afterwards.
@@ -235,6 +236,23 @@ class TestArenaBudgetUnderConcurrency:
             tenant["live_bytes"] for tenant in report["tenants"].values()
         )
         assert report["high_water_bytes"] >= report["live_bytes"]
+
+    @pytest.mark.parametrize(
+        "read", ["live_bytes", "live_arenas", "hits", "misses", "evictions", "hit_rate"]
+    )
+    def test_telemetry_reads_wait_for_the_budget_lock(self, read):
+        """A worker mid-lease holds the lock while it mutates the arena and
+        tenant maps; a concurrent read that skipped the lock could iterate
+        them mid-update ("OrderedDict mutated during iteration")."""
+        budget = SharedArenaBudget()
+        budget.tenant("t")
+        returned = threading.Event()
+        reader = threading.Thread(target=lambda: (getattr(budget, read), returned.set()))
+        with budget._lock:
+            reader.start()
+            assert not returned.wait(0.2), f"budget.{read} returned while the lock was held"
+        reader.join(timeout=5)
+        assert returned.is_set()
 
 
 POISON = 7

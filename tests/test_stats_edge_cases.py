@@ -12,15 +12,18 @@ to be silently wrong (the hits sum consumed it, the misses sum saw nothing,
 and the hit rate came out 1.0 regardless of the real misses).
 """
 
+from repro.runtime import SharedArenaBudget
 from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, percentile
 from repro.train.collective import CollectiveStats
 from repro.train.stats import DistributedTrainStats, EpochStats, ShardEpochStats, TrainStats
 
 
-class _Pool:
-    def __init__(self, hits, misses):
-        self.hits = hits
-        self.misses = misses
+def _pool(hits, misses):
+    """A module-style private pool whose tenant counters read ``hits``/``misses``."""
+    pool = SharedArenaBudget(max_arenas=4).tenant("module")
+    pool.stats.hits = hits
+    pool.stats.misses = misses
+    return pool
 
 
 class TestTrainStatsZeroRecords:
@@ -46,13 +49,13 @@ class TestTrainStatsZeroRecords:
         assert "arena_hit_rate" not in TrainStats().summary(arena_pools=[])
 
     def test_zero_lookup_pools_report_zero_not_raise(self):
-        summary = TrainStats().summary(arena_pools=[_Pool(0, 0)])
+        summary = TrainStats().summary(arena_pools=[_pool(0, 0)])
         assert summary["arena_hit_rate"] == 0.0
 
     def test_generator_arena_pools_regression(self):
         """A generator of pools must be counted once, not consumed twice:
         pre-fix this reported hit rate 1.0 (misses silently zero)."""
-        pools = (pool for pool in [_Pool(1, 0), _Pool(0, 1)])
+        pools = (pool for pool in [_pool(1, 0), _pool(0, 1)])
         summary = TrainStats().summary(arena_pools=pools)
         assert summary["arena_hit_rate"] == 0.5
 
