@@ -193,10 +193,13 @@ def test_four_workers_double_throughput_with_bit_identical_results():
     Throughput is the virtual-time makespan of the parallel schedule with
     CPU-exclusive per-batch service times (``time.thread_time``) — the same
     modelled-aggregate convention as the scaling study, so the gate holds on
-    single-CPU CI hosts where wall-clock thread overlap is impossible.
+    single-CPU CI hosts where wall-clock thread overlap is impossible.  The
+    streams are served on one CPU (:func:`~repro.evaluation.cpu_time.single_cpu`)
+    so that service times stay CPU-exclusive on multi-CPU hosts too.
     """
     import time
 
+    from repro.evaluation.cpu_time import single_cpu
     from repro.evaluation.saturation_study import (
         build_router,
         compile_tenants,
@@ -211,7 +214,8 @@ def test_four_workers_double_throughput_with_bit_identical_results():
     metrics = {}
     for workers in (1, 4):
         router = build_router(modules, graphs, num_workers=workers)
-        router.serve(stream, timer=time.thread_time)
+        with single_cpu():
+            router.serve(stream, timer=time.thread_time)
         served[workers] = router.last_served
         metrics[workers] = router.last_serve_metrics
 

@@ -12,7 +12,7 @@ Two claims are gated here:
    L-layer stack layer-by-hop over per-hop blocks processes, at every layer,
    no more edges than running that layer over the merged block, with strict
    savings on the seed-side layer (the comparison is edge-for-edge fair:
-   both samples share one epoch's draw memo under a uniform fanout).
+   both samples see one epoch's draws under a uniform fanout).
 """
 
 import pytest

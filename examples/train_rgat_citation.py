@@ -66,7 +66,6 @@ def main() -> None:
                       f"{record.seeds_per_second:,.0f} seeds/s")
         summary = trainer.summary()
         print(f"  summary: final loss {summary['final_loss']:.4f}, "
-              f"sampler hit rate {summary['sampler_hit_rate']}, "
               f"arena hit rate {summary['arena_hit_rate']}")
 
 

@@ -15,10 +15,12 @@ For each worker count the study trains the *same* workload through
 
 Busy time is per-worker **CPU time** (``time.thread_time``), so in-process
 thread workers are charged for their own compute, not for waiting out the
-GIL — the study measures the sharding, not CPython's scheduler.  The
-workload is the dispatch-bound cell of the backend study (many small typed
-edge groups, tiny features), where per-minibatch Python dispatch dominates
-and sharding pays off fastest.
+GIL — the study measures the sharding, not CPython's scheduler.  Thread
+workers train on one CPU (:func:`~repro.evaluation.cpu_time.single_cpu`),
+since on several CPUs the lock hand-offs between them inflate each thread's
+CPU time.  The workload is the dispatch-bound cell of the backend study
+(many small typed edge groups, tiny features), where per-minibatch Python
+dispatch dominates and sharding pays off fastest.
 
 ``benchmarks/test_scaling.py`` gates the 4-worker aggregate at >= 1.8x the
 1-worker row; CI publishes the 1/2/4/8-worker table in the job summary
@@ -28,6 +30,7 @@ and sharding pays off fastest.
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
 
 from repro.frontend.compiler import compile_model
@@ -35,6 +38,7 @@ from repro.graph.generators import random_features, random_labels
 from repro.graph.datasets import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
 from repro.train import ShardedTrainer
+from repro.evaluation.cpu_time import single_cpu
 from repro.evaluation.reporting import format_markdown_table
 
 DIM = 8
@@ -81,7 +85,8 @@ def scaling_study(
             accumulation_steps=1, fanouts=(None,),
             sampler_seed=seed, shuffle_seed=seed,
         )
-        trainer.train(epochs)
+        with single_cpu() if collective == "local" else nullcontext():
+            trainer.train(epochs)
         summary = trainer.summary()
         shard_rows = trainer.stats.per_shard_summary()
         per_worker = [row["seeds_per_s"] for row in shard_rows if row["busy_s"] > 0]

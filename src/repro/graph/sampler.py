@@ -15,25 +15,29 @@ A :class:`MinibatchBlock` additionally carries the index maps serving needs:
 ``node_map`` gathers parent-graph features into block order, and
 ``seed_positions`` scatters block outputs back to the request's seeds.
 
-Sampling semantics (single merged block, DGL-style incoming-neighbor
-sampling):
+Sampling semantics (DGL-style incoming-neighbor sampling):
 
-* hop 1 draws at most ``fanouts[0]`` incoming edges per (seed, relation);
-  hop ``k`` repeats from the nodes hop ``k-1`` reached;
-* a node's incoming neighborhood is drawn once per *epoch* (and once per
-  merged ``sample`` call, whichever hop reaches it first) — revisits reuse
-  the memoised draw, so per-relation in-degrees in a block never exceed the
-  cap of the hop that drew the node, and an epoch's neighborhoods are
-  internally consistent across minibatches;
-* :meth:`NeighborSampler.resample` starts a new epoch: the draw memo is
-  cleared and the RNG is reseeded from ``(seed, epoch)`` — or
-  ``(seed, epoch, shard)`` for a data-parallel worker's sampler — so epochs
-  (and shards) draw *different* neighborhoods while any epoch is exactly
-  reproducible from the base seed (the per-epoch stream does not depend on
-  how many draws earlier epochs made); ``shard=0`` seeds the very stream
-  unsharded training uses (numpy's ``SeedSequence`` absorbs the trailing
-  zero word), so a 1-shard world reproduces plain training by construction,
-  while shards >= 1 never alias any unsharded epoch;
+* a draw is a pure function of ``(base seed, epoch, shard, relation,
+  destination, fanout)``: every in-edge gets a 64-bit key (a splitmix64 mix
+  of a per-``(epoch, shard)`` salt with its relation id and relation-local
+  position), and each ``(relation, destination)`` keeps its ``fanout``
+  smallest keys.  Draws therefore do not depend on call order, the union of
+  per-seed draws is the draw of the seed union, and fanouts nest — the draw
+  at fanout ``k`` is a subset of the draw at any larger fanout;
+* hop 1 draws the seeds' incoming edges; hop ``k`` repeats from the nodes
+  hop ``k-1`` reached;
+* a merged :meth:`NeighborSampler.sample` draws each destination once, at
+  the first hop that reaches it and with that hop's fanout, so per-relation
+  in-degrees in a merged block never exceed the cap of the hop that drew
+  the node;
+* :meth:`NeighborSampler.resample` starts a new epoch by deriving the salt
+  from ``(seed, epoch)`` — or ``(seed, epoch, shard)`` for a data-parallel
+  worker's sampler — so epochs (and shards) draw *different* neighborhoods
+  while any epoch is exactly reproducible from the base seed; ``shard=0``
+  salts the very stream unsharded training uses (numpy's ``SeedSequence``
+  absorbs the trailing zero word), so a 1-shard world reproduces plain
+  training by construction, while shards >= 1 never alias any unsharded
+  epoch;
 * ``fanout=None`` keeps the full neighborhood, in which case every seed's
   one-hop aggregation over the block is *exact*: it matches the full-graph
   computation restricted to the seeds (the property the sampler tests pin).
@@ -162,28 +166,38 @@ def hop_gather_indices(outer: MinibatchBlock, inner: MinibatchBlock) -> np.ndarr
     return indices
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 mix, elementwise over a ``uint64`` array (wrapping)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 class NeighborSampler:
     """K-hop incoming-neighbor sampler over one parent graph.
 
     Args:
         graph: the parent heterogeneous graph.
         fanouts: one entry per hop; each is the max number of incoming edges
-            kept per (node, relation), or ``None`` for the full neighborhood.
-        seed: base RNG seed; a sampler is deterministic given
-            (seed, epoch, shard, call order).
-        shard: optional data-parallel shard index.  A sharded sampler seeds
+            kept per (node, relation) — an ``int >= 1`` — or ``None`` for the
+            full neighborhood.
+        seed: base seed; a draw is a pure function of
+            (seed, epoch, shard, relation, destination, fanout).
+        shard: optional data-parallel shard index.  A sharded sampler salts
             every epoch from ``(seed, epoch, shard)`` instead of
             ``(seed, epoch)``, so workers sharing a base seed draw disjoint
             neighborhood streams while any ``(epoch, shard)`` pair stays
             exactly replayable (see :meth:`resample`).
 
-    Neighborhood draws are memoised per ``(relation, destination)`` for the
-    duration of one *epoch*: every block sampled between two
-    :meth:`resample` calls sees the same drawn neighborhood for the same
-    node, so fanout caps and in-epoch determinism hold across minibatches.
-    Without an explicit epoch boundary that memo would leak across training
-    epochs — epoch 2 would train on exactly epoch 1's neighborhoods —
-    so :meth:`resample` clears it and reseeds the RNG from ``(seed, epoch)``.
+    The sampler keeps no draw state: within one epoch, any order of
+    :meth:`sample` / :meth:`sample_blocks` calls returns the same blocks.
+    ``draw_misses`` counts destinations drawn (summed over hops) and
+    ``draw_hits`` the destinations a merged call skipped because an earlier
+    hop of the same call had already drawn them.
     """
 
     def __init__(
@@ -196,81 +210,74 @@ class NeighborSampler:
         if not len(fanouts):
             raise ValueError("fanouts needs at least one hop")
         for fanout in fanouts:
-            if fanout is not None and fanout < 1:
-                raise ValueError(f"fanout must be >= 1 or None (full), got {fanout}")
+            if fanout is not None and (
+                isinstance(fanout, bool) or not isinstance(fanout, (int, np.integer)) or fanout < 1
+            ):
+                raise ValueError(f"fanout must be an int >= 1 or None (full), got {fanout!r}")
         self.graph = graph
-        self.fanouts: Tuple[Fanout, ...] = tuple(fanouts)
+        self.fanouts: Tuple[Fanout, ...] = tuple(None if f is None else int(f) for f in fanouts)
         self.schema = GraphSchema.from_graph(graph)
         self.base_seed = int(seed)
-        self.epoch = 0
         self.shard = None if shard is None else int(shard)
-        self._rng = np.random.default_rng(self._seed_words(0, self.shard))
-        #: Epoch-scoped draw memo.  The key includes the requesting hop's
-        #: fanout so a node revisited at a hop with a *different* cap gets a
-        #: fresh draw under that cap instead of inheriting a larger one —
-        #: per-hop in-degree caps must hold hop by hop.
-        self._drawn: Dict[Tuple[CanonicalEtype, int, Fanout], np.ndarray] = {}
-        #: Draw-memo telemetry (an epoch's revisits are hits).
+        self.resample(0)
         self.draw_hits = 0
         self.draw_misses = 0
-        # Per-relation incoming-edge CSR: edge positions sorted by destination,
-        # so one slice yields a destination's incoming edges of that relation.
-        self._in_edges: Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]] = {}
-        for etype, (_, dst_local) in graph.edges_per_relation.items():
-            n_dst = graph.num_nodes_per_type[etype[2]]
-            order = np.argsort(dst_local, kind="stable")
-            offsets = np.zeros(n_dst + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst_local, minlength=n_dst), out=offsets[1:])
-            self._in_edges[etype] = (order, offsets)
+        # One global in-edge CSR sorted by (destination, relation): a slice of
+        # ``_in_edges`` holds a destination's incoming edges (global edge ids)
+        # grouped by relation, and ``_in_group_start`` points every entry at
+        # the first entry of its (destination, relation) group.
+        self._relation_offsets = np.zeros(graph.num_edge_types + 1, dtype=np.int64)
+        np.cumsum(graph.relation_edge_counts(), out=self._relation_offsets[1:])
+        self._in_edges = np.lexsort((graph.edge_type, graph.edge_dst))
+        self._in_offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(graph.edge_dst, minlength=graph.num_nodes), out=self._in_offsets[1:])
+        dst = graph.edge_dst[self._in_edges]
+        relation = graph.edge_type[self._in_edges]
+        position = self._in_edges - self._relation_offsets[relation]
+        self._in_words = (relation.astype(np.uint64) << np.uint64(32)) | position.astype(np.uint64)
+        new_group = np.ones(len(dst), dtype=bool)
+        new_group[1:] = (dst[1:] != dst[:-1]) | (relation[1:] != relation[:-1])
+        self._in_group_start = np.flatnonzero(new_group)[np.cumsum(new_group) - 1]
 
     # ------------------------------------------------------------------
     # epochs
     # ------------------------------------------------------------------
     def _seed_words(self, epoch: int, shard: Optional[int]) -> List[int]:
-        """The RNG seed tuple of one ``(epoch, shard)`` stream, validated.
+        """The seed tuple of one ``(epoch, shard)`` stream, validated.
 
-        ``np.random.default_rng`` seed words must be non-negative; feeding it
-        a negative epoch (or shard) crashes deep inside numpy with an opaque
-        ``ValueError``, so both are rejected here with the argument named.
+        ``np.random.SeedSequence`` entropy words must be non-negative;
+        feeding it a negative epoch (or shard) crashes deep inside numpy with
+        an opaque ``ValueError``, so both are rejected here with the argument
+        named.
         """
         epoch = int(epoch)
         if epoch < 0:
-            raise ValueError(f"epoch must be >= 0 (RNG seed words are non-negative), got {epoch}")
+            raise ValueError(f"epoch must be >= 0 (seed words are non-negative), got {epoch}")
         if shard is not None:
             shard = int(shard)
             if shard < 0:
-                raise ValueError(f"shard must be >= 0 (RNG seed words are non-negative), got {shard}")
+                raise ValueError(f"shard must be >= 0 (seed words are non-negative), got {shard}")
         return [self.base_seed, epoch] if shard is None else [self.base_seed, epoch, shard]
 
     def resample(self, epoch: Optional[int] = None, shard: Optional[int] = None) -> int:
         """Start a new sampling epoch; returns the epoch now in effect.
 
-        Clears the per-(relation, destination) draw memo and reseeds the RNG
-        from ``(base_seed, epoch)`` — or ``(base_seed, epoch, shard)`` for a
-        sharded sampler — so the new epoch draws fresh neighborhoods yet is
-        exactly reproducible: any sampler with the same base seed replays the
-        same ``(epoch, shard)`` stream regardless of what earlier epochs (or
-        other shards in between) sampled.  ``epoch`` defaults to the next
-        epoch in sequence; ``shard`` defaults to the sampler's current shard
-        (sticky, so per-worker samplers stay in their own stream across
-        epochs).
+        Derives the edge-key salt from ``(base_seed, epoch)`` — or
+        ``(base_seed, epoch, shard)`` for a sharded sampler — so the new
+        epoch draws fresh neighborhoods yet is exactly reproducible: any
+        sampler with the same base seed replays the same ``(epoch, shard)``
+        draws regardless of what earlier epochs (or other shards in between)
+        sampled.  ``epoch`` defaults to the next epoch in sequence; ``shard``
+        defaults to the sampler's current shard (sticky, so per-worker
+        samplers stay in their own stream across epochs).
         """
         epoch = int(epoch) if epoch is not None else self.epoch + 1
         shard = self.shard if shard is None else int(shard)
         words = self._seed_words(epoch, shard)
         self.epoch = epoch
         self.shard = shard
-        self._rng = np.random.default_rng(words)
-        self._drawn.clear()
+        self._salt = np.random.SeedSequence(words).generate_state(1, np.uint64)[0]
         return self.epoch
-
-    set_epoch = resample
-
-    @property
-    def draw_hit_rate(self) -> float:
-        """Fraction of neighborhood lookups served by the epoch's draw memo."""
-        lookups = self.draw_hits + self.draw_misses
-        return self.draw_hits / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------
     def _validate_seeds(self, seeds) -> np.ndarray:
@@ -284,33 +291,36 @@ class NeighborSampler:
             )
         return seeds
 
-    def _draw_frontier(
-        self,
-        frontier: np.ndarray,
-        fanout: Fanout,
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]],
-        call_memo: Optional[Dict] = None,
-    ) -> List[np.ndarray]:
-        """Draw every frontier node's incoming edges; returns per-relation
-        source chunks (parent global ids) of the newly kept edges."""
-        graph = self.graph
-        source_chunks: List[np.ndarray] = []
-        for etype in graph.canonical_etypes:
-            src_type, _, dst_type = etype
-            src_local, _ = graph.edges_per_relation[etype]
-            if not len(src_local):
-                continue
-            dst_offset = graph.node_type_offset(dst_type)
-            n_dst = graph.num_nodes_per_type[dst_type]
-            in_type = frontier[(frontier >= dst_offset) & (frontier < dst_offset + n_dst)]
-            if not len(in_type):
-                continue
-            positions = self._draw(etype, in_type - dst_offset, fanout, call_memo)
-            if not len(positions):
-                continue
-            kept_positions[etype].append(positions)
-            source_chunks.append(src_local[positions] + graph.node_type_offset(src_type))
-        return source_chunks
+    def _draw(self, frontier: np.ndarray, fanout: Fanout) -> np.ndarray:
+        """Global ids of the edges kept for a sorted, deduplicated frontier.
+
+        One pass over the frontier's slices of the in-edge CSR: a single
+        ``lexsort`` by (group, key) ranks every edge inside its
+        (destination, relation) group, and ranks below ``fanout`` are kept.
+        """
+        self.draw_misses += len(frontier)
+        starts = self._in_offsets[frontier]
+        counts = self._in_offsets[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        entries = np.arange(int(ends[-1])) + np.repeat(starts - (ends - counts), counts)
+        if fanout is not None and len(entries):
+            group_start = self._in_group_start[entries]
+            keys = _splitmix64(self._in_words[entries] ^ self._salt)
+            order = np.lexsort((keys, group_start))
+            # Groups keep their slots under the sort, so an entry's rank is its
+            # sorted slot minus the slot its group starts at.
+            first_slot = np.arange(len(entries)) - (entries - group_start)
+            entries = entries[order[np.arange(len(entries)) - first_slot[order] < fanout]]
+        return self._in_edges[entries]
+
+    def _split(self, edges: np.ndarray) -> Dict[CanonicalEtype, np.ndarray]:
+        """Per-relation sorted relation-local positions of global edge ids."""
+        edges = np.sort(edges)
+        bounds = np.searchsorted(edges, self._relation_offsets)
+        return {
+            etype: edges[bounds[r]:bounds[r + 1]] - self._relation_offsets[r]
+            for r, etype in enumerate(self.graph.canonical_etypes)
+        }
 
     def merged_positions(self, seeds) -> Dict[CanonicalEtype, np.ndarray]:
         """Per-relation kept edge positions of the merged k-hop block of
@@ -320,54 +330,40 @@ class NeighborSampler:
         edge indices (relation-local), already deduplicated and sorted, so
         positions drawn for different seed sets can be unioned cheaply with
         ``np.unique(np.concatenate(...))`` and re-compacted via
-        :meth:`assemble`.  Under ``fanout=None`` the union of per-seed
-        positions equals a fresh merged draw of the seed union (full
-        neighborhoods compose), which is what makes per-seed block caching
-        exact.
+        :meth:`assemble`.  A destination is drawn once, at the first hop
+        that reaches it, with that hop's fanout.  Under ``fanout=None`` the
+        union of per-seed positions equals a fresh merged draw of the seed
+        union (full neighborhoods compose), which is what makes per-seed
+        block caching exact.
         """
-        graph = self.graph
         seeds = self._validate_seeds(seeds)
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-            etype: [] for etype in graph.canonical_etypes
-        }
-        call_memo: Dict[Tuple[CanonicalEtype, int], np.ndarray] = {}
-        frontier = np.unique(seeds)
-        for fanout in self.fanouts:
-            source_chunks = self._draw_frontier(frontier, fanout, kept_positions, call_memo)
-            frontier = (
-                np.unique(np.concatenate(source_chunks))
-                if source_chunks
-                else np.zeros(0, dtype=np.int64)
-            )
-            if not len(frontier):
-                break
-        return {
-            etype: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-            for etype, chunks in kept_positions.items()
-        }
+        frontier = visited = np.unique(seeds)
+        kept: List[np.ndarray] = []
+        for hop, fanout in enumerate(self.fanouts):
+            if hop:
+                reached = np.unique(self.graph.edge_src[kept[-1]])
+                frontier = np.setdiff1d(reached, visited, assume_unique=True)
+                self.draw_hits += len(reached) - len(frontier)
+                if not len(frontier):
+                    break
+                visited = np.union1d(visited, frontier)
+            kept.append(self._draw(frontier, fanout))
+        return self._split(np.concatenate(kept))
 
     def hop_positions(self, seeds) -> List[Dict[CanonicalEtype, np.ndarray]]:
         """Per-hop per-relation kept edge positions, outermost-last.
 
         The cacheable half of :meth:`sample_blocks`: entry ``i`` holds hop
         ``i+1``'s drawn edge positions (deduplicated, sorted).  Hop ``i+1``'s
-        destination frontier is hop ``i``'s node set, reproduced here without
-        compaction via :meth:`positions_nodes`.
+        destination frontier is hop ``i``'s node set (its destinations plus
+        every kept edge's source), as :meth:`positions_nodes` reproduces.
         """
-        seeds = self._validate_seeds(seeds)
+        frontier = np.unique(self._validate_seeds(seeds))
         hops: List[Dict[CanonicalEtype, np.ndarray]] = []
-        dst_frontier = np.unique(seeds)
         for fanout in self.fanouts:
-            kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-                etype: [] for etype in self.graph.canonical_etypes
-            }
-            self._draw_frontier(dst_frontier, fanout, kept_positions)
-            positions = {
-                etype: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-                for etype, chunks in kept_positions.items()
-            }
-            hops.append(positions)
-            dst_frontier = self.positions_nodes(dst_frontier, positions)
+            kept = self._draw(frontier, fanout)
+            hops.append(self._split(kept))
+            frontier = np.union1d(frontier, self.graph.edge_src[kept])
         return hops
 
     def positions_nodes(self, seeds, positions) -> np.ndarray:
@@ -402,16 +398,84 @@ class NeighborSampler:
 
         The deterministic half of sampling: given positions (from
         :meth:`merged_positions`, or a union of cached per-seed draws), the
-        resulting block is a pure function of ``(seeds, positions)`` — no RNG,
-        no draw memo.  ``required_nodes`` keeps a destination frontier in the
-        block even where no edge touches it (the per-hop case).
+        resulting block is a pure function of ``(seeds, positions)``.  The
+        block keeps the parent's schema; ``required_nodes`` (parent global
+        ids) keeps a destination frontier in the block even where no edge
+        touches it — per-hop blocks must contain their whole destination
+        frontier so hop boundaries compose.
         """
         seeds = self._validate_seeds(seeds)
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-            etype: ([positions[etype]] if len(positions.get(etype, ())) else [])
-            for etype in self.graph.canonical_etypes
+        graph = self.graph
+        final_positions: Dict[CanonicalEtype, np.ndarray] = {
+            etype: np.unique(positions.get(etype, np.zeros(0, dtype=np.int64)))
+            for etype in graph.canonical_etypes
         }
-        return self._compact(seeds, kept_positions, required_nodes=required_nodes)
+
+        # Node set per type: seeds (and any required nodes) plus every
+        # endpoint of a kept edge.
+        kept_locals: Dict[str, List[np.ndarray]] = {t: [] for t in graph.node_type_names}
+        seed_types = np.searchsorted(graph.node_type_offsets, seeds, side="right") - 1
+        for type_id, type_name in enumerate(graph.node_type_names):
+            of_type = seeds[seed_types == type_id]
+            if len(of_type):
+                kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
+        if required_nodes is not None and len(required_nodes):
+            required_types = np.searchsorted(graph.node_type_offsets, required_nodes, side="right") - 1
+            for type_id, type_name in enumerate(graph.node_type_names):
+                of_type = required_nodes[required_types == type_id]
+                if len(of_type):
+                    kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
+        for etype, positions in final_positions.items():
+            if not len(positions):
+                continue
+            src_type, _, dst_type = etype
+            src_local, dst_local = graph.edges_per_relation[etype]
+            kept_locals[src_type].append(src_local[positions])
+            kept_locals[dst_type].append(dst_local[positions])
+        unique_locals: Dict[str, np.ndarray] = {
+            t: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
+            for t, chunks in kept_locals.items()
+        }
+
+        # Block layout: parent type order, sorted parent-local ids per type —
+        # so ``node_map`` is sorted and ``searchsorted`` addresses it.
+        block_counts = {t: int(len(unique_locals[t])) for t in graph.node_type_names}
+        node_map = np.concatenate(
+            [unique_locals[t] + graph.node_type_offset(t) for t in graph.node_type_names]
+        )
+
+        # Relabel every relation's endpoints into block-local ids, keeping the
+        # parent's full relation vocabulary (empty relations stay, so edge-type
+        # ids — and therefore per-relation weights — line up).
+        block_edges: Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]] = {}
+        for etype in graph.canonical_etypes:
+            positions = final_positions[etype]
+            src_type, _, dst_type = etype
+            if not len(positions):
+                block_edges[etype] = (
+                    np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=np.int64),
+                )
+                continue
+            src_local, dst_local = graph.edges_per_relation[etype]
+            block_edges[etype] = (
+                np.searchsorted(unique_locals[src_type], src_local[positions]),
+                np.searchsorted(unique_locals[dst_type], dst_local[positions]),
+            )
+
+        block_graph = HeteroGraph(
+            {t: block_counts[t] for t in graph.node_type_names},
+            block_edges,
+            name=f"{graph.name}/block[{len(seeds)}s,{len(node_map)}n]",
+        )
+        return MinibatchBlock(
+            graph=block_graph,
+            parent=graph,
+            node_map=node_map,
+            seeds=seeds,
+            seed_positions=np.searchsorted(node_map, seeds),
+            fanouts=self.fanouts,
+        )
 
     def assemble_hop_blocks(
         self,
@@ -448,11 +512,10 @@ class NeighborSampler:
     def sample(self, seeds) -> MinibatchBlock:
         """Sample the merged block of a set of seed nodes (parent global ids).
 
-        A destination revisited at a later hop reuses its first draw even
-        when the hops' fanouts differ (the per-call memo in
-        :meth:`merged_positions`), so merged per-relation in-degrees never
-        exceed the cap of the hop that first reached the node — the
-        block-level fanout invariant.
+        Each destination is drawn once, at the first hop that reaches it and
+        with that hop's fanout (see :meth:`merged_positions`), so merged
+        per-relation in-degrees never exceed the cap of the hop that first
+        reached the node — the block-level fanout invariant.
         """
         return self.assemble(seeds, self.merged_positions(seeds))
 
@@ -471,162 +534,13 @@ class NeighborSampler:
         * every hop preserves the parent's full relation vocabulary, so edge
           type ids keep indexing the same per-relation weights.
 
-        Draws share the epoch's memo with :meth:`sample`: within one epoch
-        and under a uniform per-hop fanout, the outermost per-hop block and
+        Draws are the same pure function :meth:`sample` uses: within one
+        epoch and under a uniform per-hop fanout, the outermost per-hop block and
         the merged k-hop block of the same seeds contain exactly the same
         edges, which is what makes per-hop vs merged aggregation-work
         comparisons edge-for-edge fair.
         """
         return self.assemble_hop_blocks(seeds, self.hop_positions(seeds))
-
-    def _draw(
-        self,
-        etype: CanonicalEtype,
-        dst_locals: np.ndarray,
-        fanout: Fanout,
-        call_memo: Optional[Dict] = None,
-    ) -> np.ndarray:
-        """Edge positions (relation-local) sampled for these destinations.
-
-        ``call_memo`` (merged sampling) pins one draw per ``(etype, dst)``
-        for the whole call regardless of per-hop fanouts; the epoch memo is
-        keyed by fanout so per-hop blocks under *different* caps never
-        inherit a larger hop's draw.
-        """
-        order, offsets = self._in_edges[etype]
-        chunks: List[np.ndarray] = []
-        for dst in dst_locals.tolist():
-            if call_memo is not None and (etype, dst) in call_memo:
-                self.draw_hits += 1
-                picked = call_memo[(etype, dst)]
-                if len(picked):
-                    chunks.append(picked)
-                continue
-            key = (etype, dst, fanout)
-            picked = self._drawn.get(key)
-            if picked is None:
-                self.draw_misses += 1
-                incoming = order[offsets[dst]:offsets[dst + 1]]
-                if fanout is not None and len(incoming) > fanout:
-                    picked = self._rng.choice(incoming, size=fanout, replace=False)
-                    picked.sort()
-                else:
-                    picked = incoming
-                self._drawn[key] = picked
-            else:
-                self.draw_hits += 1
-            if call_memo is not None:
-                call_memo[(etype, dst)] = picked
-            if len(picked):
-                chunks.append(picked)
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-    # ------------------------------------------------------------------
-    def _compact(
-        self,
-        seeds: np.ndarray,
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]],
-        required_nodes: Optional[np.ndarray] = None,
-    ) -> MinibatchBlock:
-        """Relabel the sampled nodes/edges into a schema-preserving block.
-
-        ``required_nodes`` (parent global ids) are kept in the block even if
-        no sampled edge touches them — per-hop blocks must contain their
-        whole destination frontier so hop boundaries compose.
-        """
-        graph = self.graph
-
-        # Deduplicated edge positions per relation (a destination revisited
-        # across hops contributes its memoised draw once).
-        final_positions: Dict[CanonicalEtype, np.ndarray] = {}
-        for etype, chunks in kept_positions.items():
-            final_positions[etype] = (
-                np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64)
-            )
-
-        # Node set per type: seeds (and any required nodes) plus every
-        # endpoint of a kept edge.
-        kept_locals: Dict[str, List[np.ndarray]] = {t: [] for t in graph.node_type_names}
-        seed_types = np.searchsorted(graph.node_type_offsets, seeds, side="right") - 1
-        for type_id, type_name in enumerate(graph.node_type_names):
-            of_type = seeds[seed_types == type_id]
-            if len(of_type):
-                kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
-        if required_nodes is not None and len(required_nodes):
-            required_types = np.searchsorted(graph.node_type_offsets, required_nodes, side="right") - 1
-            for type_id, type_name in enumerate(graph.node_type_names):
-                of_type = required_nodes[required_types == type_id]
-                if len(of_type):
-                    kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
-        for etype, positions in final_positions.items():
-            if not len(positions):
-                continue
-            src_type, _, dst_type = etype
-            src_local, dst_local = graph.edges_per_relation[etype]
-            kept_locals[src_type].append(src_local[positions])
-            kept_locals[dst_type].append(dst_local[positions])
-        unique_locals: Dict[str, np.ndarray] = {
-            t: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-            for t, chunks in kept_locals.items()
-        }
-
-        # Block layout: parent type order, sorted parent-local ids per type.
-        block_counts = {t: int(len(unique_locals[t])) for t in graph.node_type_names}
-        block_offsets: Dict[str, int] = {}
-        running = 0
-        for t in graph.node_type_names:
-            block_offsets[t] = running
-            running += block_counts[t]
-        node_map_chunks = [
-            unique_locals[t] + graph.node_type_offset(t) for t in graph.node_type_names
-        ]
-        node_map = (
-            np.concatenate(node_map_chunks) if running else np.zeros(0, dtype=np.int64)
-        )
-
-        # Relabel every relation's endpoints into block-local ids, keeping the
-        # parent's full relation vocabulary (empty relations stay, so edge-type
-        # ids — and therefore per-relation weights — line up).
-        block_edges: Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]] = {}
-        for etype in graph.canonical_etypes:
-            positions = final_positions[etype]
-            src_type, _, dst_type = etype
-            if not len(positions):
-                block_edges[etype] = (
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                )
-                continue
-            src_local, dst_local = graph.edges_per_relation[etype]
-            block_edges[etype] = (
-                np.searchsorted(unique_locals[src_type], src_local[positions]),
-                np.searchsorted(unique_locals[dst_type], dst_local[positions]),
-            )
-
-        block_graph = HeteroGraph(
-            {t: block_counts[t] for t in graph.node_type_names},
-            block_edges,
-            name=f"{graph.name}/block[{len(seeds)}s,{running}n]",
-        )
-
-        seed_positions = np.empty(len(seeds), dtype=np.int64)
-        for index, (seed, type_id) in enumerate(zip(seeds.tolist(), seed_types.tolist())):
-            type_name = graph.node_type_names[type_id]
-            local = seed - int(graph.node_type_offsets[type_id])
-            seed_positions[index] = block_offsets[type_name] + int(
-                np.searchsorted(unique_locals[type_name], local)
-            )
-
-        return MinibatchBlock(
-            graph=block_graph,
-            parent=graph,
-            node_map=node_map,
-            seeds=seeds,
-            seed_positions=seed_positions,
-            fanouts=self.fanouts,
-        )
 
 
 def sample_block(

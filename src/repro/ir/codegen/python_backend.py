@@ -408,7 +408,13 @@ class _PythonKernelGenerator:
         elif op.kind == "unary":
             x = self._operand_expr(op, op.inputs[0])
             fn = op.attrs.get("fn", "relu")
-            if fn == "exp":
+            if fn == "exp" and op.attrs.get("max_shift") and kernel.domain is Space.EDGE:
+                # Per-destination max shift, constant w.r.t. the gradient.
+                lines.append(f"    _x = {x}")
+                lines.append("    _m = np.full((ctx.num_nodes,) + _x.shape[1:], -np.inf, dtype=_x.dtype)")
+                lines.append("    np.maximum.at(_m, dst, _x)")
+                lines.append(f"    env['{out}'] = np.exp(_x - _m[dst])")
+            elif fn == "exp":
                 lines.append(f"    env['{out}'] = np.exp({x})")
             elif fn == "leaky_relu":
                 slope = op.attrs.get("negative_slope", 0.01)

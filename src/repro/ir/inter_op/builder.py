@@ -266,9 +266,13 @@ class ProgramBuilder:
 
         ``exp`` per edge → per-destination sum → gather the sum back onto
         edges → divide.  The expansion mirrors lines 1-9 of Listing 1 so the
-        later fusion/lowering passes see exactly the same structure.
+        later fusion/lowering passes see exactly the same structure.  The
+        ``exp`` is marked ``max_shift`` so an executing backend subtracts the
+        per-destination max score first (the Python traversal emitter does):
+        the shift cancels in the division but keeps ``exp`` finite and every
+        denominator >= 1.
         """
-        exp_scores = self.unary("exp", scores, f"{out}_exp")
+        exp_scores = self.unary("exp", scores, f"{out}_exp", max_shift=True)
         att_sum = self.aggregate(exp_scores, f"{out}_sum")
         att_sum_on_edges = self.gather_dst(att_sum, f"{out}_sum_edges")
         return self.binary("div", exp_scores, att_sum_on_edges, out)

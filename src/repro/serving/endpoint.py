@@ -355,9 +355,11 @@ class Endpoint:
         Pure compaction — no RNG — so the result is a deterministic function
         of the cached entries.  Under ``fanout=None`` the union of per-seed
         positions equals a fresh draw of the seed union (full neighborhoods
-        compose); under finite fanouts a shared frontier node may keep the
-        draws of several seeds, so per-node in-degree can exceed a single
-        draw's cap — a denser but still valid sample.
+        compose); under finite fanouts a shared frontier node may keep
+        several draws (entries drawn in different epochs, or a merged draw
+        that reached the node at hops with different fanouts), so per-node
+        in-degree can exceed a single draw's cap — a denser but still valid
+        sample.
         """
         if self._per_hop:
             hops = [
@@ -376,10 +378,10 @@ class Endpoint:
         (the batch skipped sampling entirely).
 
         Serving has no training epochs, so every batch with at least one
-        uncached seed advances the sampler's epoch: misses draw *fresh*
-        neighborhoods under finite fanouts (the sampler's draw memo is
-        epoch-scoped).  Reuse of drawn neighborhoods is the per-seed cache's
-        job, not the draw memo's.
+        uncached seed advances the sampler's epoch.  Draws are a pure
+        function of the epoch, so under finite fanouts misses draw *fresh*
+        neighborhoods, and reuse of a drawn neighborhood is the per-seed
+        cache's job alone.
         """
         if self.block_cache_size == 0:
             self.sampler.resample()

@@ -374,7 +374,6 @@ class ShardedTrainer:
     def summary(self) -> Dict[str, object]:
         """Run-level report including per-shard and collective telemetry."""
         return self.stats.summary(
-            sampler=self._trainers[0].sampler,
             arena_pools=[
                 pool for trainer in self._trainers for pool in trainer._arena_pools()
             ],

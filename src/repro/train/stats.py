@@ -65,16 +65,10 @@ class TrainStats:
     def final_loss(self) -> Optional[float]:
         return self.epochs[-1].loss if self.epochs else None
 
-    def summary(
-        self,
-        sampler=None,
-        arena_pools=None,
-    ) -> Dict[str, object]:
+    def summary(self, arena_pools=None) -> Dict[str, object]:
         """Run-level report row.
 
         Args:
-            sampler: optional :class:`~repro.graph.sampler.NeighborSampler`
-                whose draw-memo hit rate should be included.
             arena_pools: optional iterable of the
                 :class:`~repro.runtime.planner.TenantArenaSource` objects the
                 run's bindings leased from; their ``stats`` are summed.
@@ -89,8 +83,6 @@ class TrainStats:
             "optimizer_steps": sum(epoch.num_steps for epoch in self.epochs),
             "block_edges": sum(epoch.block_edges for epoch in self.epochs),
         }
-        if sampler is not None:
-            out["sampler_hit_rate"] = round(sampler.draw_hit_rate, 3)
         # Materialise before counting: a generator of pools would be consumed
         # by the hits sum and silently report zero misses (hit rate 1.0).
         arena_stats = [pool.stats for pool in arena_pools] if arena_pools is not None else []
@@ -166,14 +158,14 @@ class DistributedTrainStats(TrainStats):
             })
         return rows
 
-    def summary(self, sampler=None, arena_pools=None, collective=None) -> Dict[str, object]:
+    def summary(self, arena_pools=None, collective=None) -> Dict[str, object]:
         """Run-level report: the global view plus sharding/collective columns.
 
         ``aggregate_seeds_per_s`` models data-parallel wall-clock as the
         critical path — the slowest shard's busy time plus the collective's
         reduction time — the number the scaling study gates on.
         """
-        out = super().summary(sampler=sampler, arena_pools=arena_pools)
+        out = super().summary(arena_pools=arena_pools)
         seeds = sum(epoch.num_seeds for epoch in self.epochs)
         out["shards"] = self.num_shards
         busy = self.max_shard_busy_seconds

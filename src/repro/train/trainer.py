@@ -371,5 +371,5 @@ class MinibatchTrainer:
         return [pool for pool in pools if pool is not None]
 
     def summary(self) -> dict:
-        """Run-level report: loss, throughput, sampler and arena hit rates."""
-        return self.stats.summary(sampler=self.sampler, arena_pools=self._arena_pools())
+        """Run-level report: loss, throughput and arena hit rate."""
+        return self.stats.summary(arena_pools=self._arena_pools())

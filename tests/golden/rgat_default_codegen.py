@@ -166,7 +166,10 @@ def main_forward(env, ctx):
     _x = _b_att_raw
     _b_att_l = env['att_l'] = np.where(_x > 0, _x, _x * 0.2)
     # att_exp = unary(att_l)
-    _b_att_exp = env['att_exp'] = np.exp(_b_att_l)
+    _x = _b_att_l
+    _m = np.full((_c_num_nodes,) + _x.shape[1:], -np.inf, dtype=_x.dtype)
+    np.maximum.at(_m, dst, _x)
+    _b_att_exp = env['att_exp'] = np.exp(_x - _m[dst])
     # att_sum = scatter_add(att_exp)
     Y = _b_att_sum = env.get('att_sum')
     if Y is None or Y.shape != (_c_num_nodes,):

@@ -7,6 +7,8 @@ unbounded fanout, a one-hop block's outputs at the seed nodes must equal the
 eager full-graph reference restricted to those seeds, for every model.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,19 @@ from hypothesis import strategies as st
 
 from repro.frontend import CompilerOptions, compile_model
 from repro.graph import NeighborSampler, hop_gather_indices, random_hetero_graph, sample_block
+from repro.graph.sampler import _splitmix64
 from repro.models import MODEL_NAMES, REFERENCE_CLASSES
 
 DIM = 8
+
+
+def assert_same_block(a, b):
+    np.testing.assert_array_equal(a.node_map, b.node_map)
+    np.testing.assert_array_equal(a.seed_positions, b.seed_positions)
+    for etype in a.parent.canonical_etypes:
+        for left, right in zip(a.graph.edges_per_relation[etype],
+                               b.graph.edges_per_relation[etype]):
+            np.testing.assert_array_equal(left, right)
 
 
 @st.composite
@@ -54,8 +66,8 @@ class TestBlockStructure:
         assert block.graph.canonical_etypes == graph.canonical_etypes
 
         # Fanout caps: per-relation in-degree within the block never exceeds
-        # the cap (the memoised per-(relation, dst) draw guarantees this even
-        # when the frontier revisits a node).
+        # the cap (each (relation, dst) keeps its ``fanout`` smallest edge
+        # keys, and a merged call draws a revisited node only once).
         if fanout is not None:
             for etype, (_, dst_local) in block.graph.edges_per_relation.items():
                 if len(dst_local):
@@ -127,6 +139,15 @@ class TestBlockStructure:
             NeighborSampler(small_graph, fanouts=())
         with pytest.raises(ValueError):
             NeighborSampler(small_graph, fanouts=(0,))
+
+    @pytest.mark.parametrize("fanout", [2.5, True, False, "3", -1])
+    def test_rejects_non_integer_fanouts_naming_the_value(self, small_graph, fanout):
+        with pytest.raises(ValueError, match=re.escape(repr(fanout))):
+            NeighborSampler(small_graph, fanouts=(2, fanout))
+
+    def test_accepts_numpy_integer_fanouts(self, small_graph):
+        sampler = NeighborSampler(small_graph, fanouts=(np.int64(2), None))
+        assert sampler.fanouts == (2, None)
 
     def test_gather_and_scatter_shapes_are_validated(self, small_graph, rng):
         block = sample_block(small_graph, [0, 5, 9])
@@ -231,8 +252,8 @@ class TestPerHopBlocks:
                 assert np.bincount(dst_local).max() <= cap, etype
 
     def test_merged_block_equals_outermost_hop_under_uniform_fanout(self, medium_graph):
-        """Within one epoch (shared draw memo) the merged 2-hop block and the
-        outermost per-hop block contain exactly the same edges — the basis of
+        """Within one epoch (draws are a pure function) the merged 2-hop block
+        and the outermost per-hop block contain exactly the same edges — the basis of
         edge-for-edge per-hop vs merged work accounting."""
         sampler = NeighborSampler(medium_graph, fanouts=(3, 3), seed=4)
         seeds = np.array([0, 17, 55, 120, 199])
@@ -245,21 +266,19 @@ class TestPerHopBlocks:
 
 
 class TestEpochResampling:
-    """The draw memo is epoch-scoped: stable within an epoch, fresh across
-    epochs, reproducible from the base seed."""
+    """Draws are a pure function of the epoch: stable within an epoch,
+    fresh across epochs, reproducible from the base seed."""
 
-    def test_draws_are_memoised_within_an_epoch(self, medium_graph):
-        sampler = NeighborSampler(medium_graph, fanouts=(2,), seed=0)
-        seeds = np.arange(0, 40)
-        first = sampler.sample(seeds)
-        hits_before = sampler.draw_hits
-        second = sampler.sample(seeds)
-        assert sampler.draw_hits > hits_before
-        np.testing.assert_array_equal(first.node_map, second.node_map)
-        for etype in medium_graph.canonical_etypes:
-            for a, b in zip(first.graph.edges_per_relation[etype],
-                            second.graph.edges_per_relation[etype]):
-                np.testing.assert_array_equal(a, b)
+    def test_draws_are_pure_within_an_epoch(self, medium_graph):
+        """Repeated and interleaved calls return identical blocks."""
+        sampler = NeighborSampler(medium_graph, fanouts=(2, 2), seed=0)
+        seeds, other = np.arange(0, 40), np.arange(30, 90)
+        first, first_hops = sampler.sample(seeds), sampler.sample_blocks(seeds)
+        sampler.sample(other)
+        sampler.sample_blocks(other)
+        assert_same_block(first, sampler.sample(seeds))
+        for a, b in zip(first_hops, sampler.sample_blocks(seeds)):
+            assert_same_block(a, b)
 
     def test_fanout_cap_holds_across_overlapping_minibatches(self, medium_graph):
         """Two same-epoch minibatches sharing destinations reuse one draw, so
@@ -305,12 +324,109 @@ class TestEpochResampling:
                             replay.graph.edges_per_relation[etype]):
                 np.testing.assert_array_equal(a, b)
 
-    def test_draw_hit_rate_telemetry(self, medium_graph):
-        sampler = NeighborSampler(medium_graph, fanouts=(2,), seed=0)
-        assert sampler.draw_hit_rate == 0.0
-        sampler.sample(np.arange(0, 20))
-        sampler.sample(np.arange(0, 20))
-        assert 0.0 < sampler.draw_hit_rate <= 1.0
+
+def as_sets(hops):
+    return [{etype: set(kept.tolist()) for etype, kept in hop.items()} for hop in hops]
+
+
+class TestPureDraws:
+    """Draws are a pure function of (seed, epoch, shard, relation, dst,
+    fanout): call order, batching and fanout size cannot change them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=graph_and_seeds(), fanout=st.integers(1, 3), epoch=st.integers(0, 3),
+           calls=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=5),
+           perm_seed=st.integers(0, 1000))
+    def test_any_call_order_within_an_epoch_gives_the_same_blocks(
+        self, data, fanout, epoch, calls, perm_seed
+    ):
+        graph, _ = data
+        requests = [
+            (per_hop, np.random.default_rng(pick).choice(graph.num_nodes, size=3))
+            for per_hop, pick in calls
+        ]
+        order = np.random.default_rng(perm_seed).permutation(len(requests))
+        forward = NeighborSampler(graph, fanouts=(fanout, fanout), seed=5)
+        shuffled = NeighborSampler(graph, fanouts=(fanout, fanout), seed=5)
+        forward.resample(epoch)
+        shuffled.resample(epoch)
+
+        def run(sampler, per_hop, seeds):
+            return sampler.sample_blocks(seeds) if per_hop else [sampler.sample(seeds)]
+
+        in_order = [run(forward, *request) for request in requests]
+        permuted = {index: run(shuffled, *requests[index]) for index in order}
+        for index, blocks in enumerate(in_order):
+            for a, b in zip(blocks, permuted[index]):
+                assert_same_block(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=graph_and_seeds(),
+           small=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           extra=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           rng_seed=st.integers(0, 100))
+    def test_fanouts_are_nested(self, data, small, extra, rng_seed):
+        """Raising any hop's fanout only adds edges, hop by hop."""
+        graph, seeds = data
+        large = [k + d for k, d in zip(small, extra)]
+        narrow = NeighborSampler(graph, fanouts=small, seed=rng_seed).hop_positions(seeds)
+        wide = NeighborSampler(graph, fanouts=large, seed=rng_seed).hop_positions(seeds)
+        for narrow_hop, wide_hop in zip(as_sets(narrow), as_sets(wide)):
+            for etype, kept in narrow_hop.items():
+                assert kept <= wide_hop[etype], etype
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=graph_and_seeds(),
+           fanouts=st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=3),
+           epoch=st.integers(0, 3))
+    def test_hop_positions_of_a_seed_set_is_the_union_of_per_seed_draws(
+        self, data, fanouts, epoch
+    ):
+        graph, seeds = data
+        sampler = NeighborSampler(graph, fanouts=fanouts, seed=2)
+        sampler.resample(epoch)
+        together = as_sets(sampler.hop_positions(seeds))
+        union = [{etype: set() for etype in graph.canonical_etypes} for _ in fanouts]
+        for seed in seeds:
+            for hop, per_seed in zip(union, as_sets(sampler.hop_positions([seed]))):
+                for etype, kept in per_seed.items():
+                    hop[etype] |= kept
+        assert together == union
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=graph_and_seeds(), fanout=st.integers(1, 3), epoch=st.integers(0, 3))
+    def test_one_hop_draw_matches_a_per_destination_reference(self, data, fanout, epoch):
+        """Each (relation, destination) keeps its ``fanout`` smallest keys,
+        a key being the splitmix64 mix of the epoch salt with the edge's
+        (relation id, relation-local position)."""
+        graph, seeds = data
+        sampler = NeighborSampler(graph, fanouts=(fanout,), seed=4)
+        sampler.resample(epoch)
+        expected = {}
+        for relation, etype in enumerate(graph.canonical_etypes):
+            dst_global = graph.edges_per_relation[etype][1] + graph.node_type_offset(etype[2])
+            kept = []
+            for seed in np.unique(seeds):
+                positions = np.flatnonzero(dst_global == seed)
+                words = (np.uint64(relation) << np.uint64(32)) | positions.astype(np.uint64)
+                keys = _splitmix64(words ^ sampler._salt)
+                kept += positions[np.argsort(keys)[:fanout]].tolist()
+            expected[etype] = set(kept)
+        assert as_sets(sampler.hop_positions(seeds)) == [expected]
+
+    def test_draw_counters(self):
+        """``draw_misses`` counts destinations drawn per hop; ``draw_hits``
+        counts the ones a merged call skipped as already drawn."""
+        from repro.graph import HeteroGraph
+
+        # a0 <-> a1: hop 2 of a merged call reaches a0 again.
+        pair = HeteroGraph({"a": 2}, {("a", "to", "a"): (np.array([0, 1]), np.array([1, 0]))})
+        merged = NeighborSampler(pair, fanouts=(None, None, None))
+        merged.sample([0])
+        assert (merged.draw_misses, merged.draw_hits) == (2, 1)
+        per_hop = NeighborSampler(pair, fanouts=(None, None, None))
+        per_hop.sample_blocks([0])
+        assert (per_hop.draw_misses, per_hop.draw_hits) == (1 + 2 + 2, 0)
 
 
 class TestBlockExecution:

@@ -35,9 +35,10 @@ def graph():
 
 
 def stream_fingerprint(base_seed, epoch, shard):
-    """The first RNG draws of the sampler's ``(seed, epoch, shard)`` stream."""
+    """The first words of the ``(seed, epoch, shard)`` seed sequence the
+    sampler derives its edge-key salt from."""
     words = [base_seed, epoch] if shard is None else [base_seed, epoch, shard]
-    return tuple(np.random.default_rng(words).integers(0, 2**63, size=4))
+    return tuple(np.random.SeedSequence(words).generate_state(4, np.uint64))
 
 
 class TestSeedStreamSeparation:
@@ -76,9 +77,9 @@ class TestSeedStreamSeparation:
         b = NeighborSampler(graph, fanouts=(2,), seed=0)
         b.resample(epoch, shard=shard + 1)
         # Same fanout policy, same seeds, adjacent shards: the sampled edge
-        # sets are allowed to coincide by chance on tiny graphs, but the RNG
-        # states must differ — detectable through the next raw draws.
-        assert tuple(a._rng.integers(0, 2**63, 4)) != tuple(b._rng.integers(0, 2**63, 4))
+        # sets are allowed to coincide by chance on tiny graphs, but the
+        # edge-key salts must differ — and with them every edge's key.
+        assert a._salt != b._salt
 
 
 class TestShardPartition:
